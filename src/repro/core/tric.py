@@ -80,9 +80,7 @@ class TRICEngine(ContinuousEngine):
         Require injective (isomorphism) answer semantics.
     interner:
         Vertex encoding used by the base views (dictionary-encoded dense
-        ints by default; benchmarks inject a
-        :class:`~repro.graph.interning.NullInterner` to replay the string
-        pipeline, and callers may share one interner across engines).
+        ints by default; callers may share one interner across engines).
     """
 
     name = "TRIC"

@@ -109,8 +109,8 @@ def create_sharded_engine(
     :func:`create_engine`; otherwise the query database is partitioned
     across independent engine instances behind a
     :class:`~repro.pubsub.sharding.ShardedEngineGroup` (``assignment`` is
-    ``"hash"`` or ``"label"``; ``executor`` is ``"serial"``, ``"thread"``
-    or ``"process"`` and decides how a batch fans out to the relevant
+    ``"hash"`` or ``"label"``; ``executor`` is ``"serial"`` or
+    ``"process"`` and decides how a batch fans out to the relevant
     shards).  Keyword arguments are forwarded to the underlying engine
     factory either way.
 

@@ -25,7 +25,7 @@ from .errors import (
     VertexNotFoundError,
 )
 from .graph import Graph
-from .interning import NullInterner, VertexInterner
+from .interning import VertexInterner
 from .stream import GraphStream, StreamStatistics
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "UpdateKind",
     "Vertex",
     "VertexInterner",
-    "NullInterner",
     "add",
     "delete",
     "renumber",

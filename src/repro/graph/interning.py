@@ -13,10 +13,6 @@ carries int tuples and decodes back to strings only at the public API
 surface (``matches_of``, reports).  This is the dictionary-encoding move of
 inverted-index systems: probes become proportional to the posting list, and
 equality checks become single-word comparisons.
-
-:class:`NullInterner` is a drop-in identity encoder used by the comparison
-benchmarks (``benchmarks/bench_hotpath.py``) to replay the pre-interning
-string pipeline through the same code paths.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["VertexInterner", "NullInterner"]
+__all__ = ["VertexInterner"]
 
 
 class VertexInterner:
@@ -111,62 +107,3 @@ class VertexInterner:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VertexInterner(vertices={len(self._labels)})"
-
-
-class NullInterner:
-    """Identity encoder: vertices stay strings end to end.
-
-    Exists so the comparison benchmarks can drive the exact same engine code
-    over the pre-interning string representation.  API-compatible with
-    :class:`VertexInterner`.
-    """
-
-    __slots__ = ("_seen",)
-
-    def __init__(self, labels: Iterable[str] = ()) -> None:
-        self._seen: Dict[str, str] = {label: label for label in labels}
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._seen
-
-    def intern(self, label: str) -> str:
-        self._seen[label] = label
-        return label
-
-    def intern_pair(self, source: str, target: str) -> Tuple[str, str]:
-        self._seen[source] = source
-        self._seen[target] = target
-        return (source, target)
-
-    def intern_row(self, row: Sequence[str]) -> Tuple[str, ...]:
-        for value in row:
-            self._seen[value] = value
-        return tuple(row)
-
-    def lookup(self, label: str) -> Optional[str]:
-        return self._seen.get(label)
-
-    def label_of(self, vid: str) -> str:
-        return vid
-
-    def decode_row(self, row: Sequence[str]) -> Tuple[str, ...]:
-        return tuple(row)
-
-    def stats(self) -> Dict[str, int]:
-        """API-compatible statistics (strings are stored, not encoded).
-
-        As with :meth:`VertexInterner.stats`, the set overhead is estimated
-        from the entry count alone so the figure survives snapshot/restore
-        unchanged.
-        """
-        strings = sum(sys.getsizeof(label) for label in self._seen)
-        return {
-            "live_ids": len(self._seen),
-            "bytes_estimate": strings + 128 + 64 * len(self._seen),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"NullInterner(vertices={len(self._seen)})"

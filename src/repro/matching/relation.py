@@ -25,7 +25,6 @@ __all__ = [
     "CountedRelation",
     "natural_join",
     "extend_path_rows",
-    "build_row_index",
     "EMPTY_ROWS",
 ]
 
@@ -174,10 +173,6 @@ class Relation:
     def remove_all(self, rows: Iterable[Row]) -> List[Row]:
         """Remove every row; return the list of rows actually removed."""
         return [row for row in rows if self.remove(row)]
-
-    def discard(self, row: Row) -> bool:
-        """Alias of :meth:`remove` (kept for backwards compatibility)."""
-        return self.remove(row)
 
     def clear(self) -> None:
         """Remove every row (wholesale: resets the delta log, bumps the epoch)."""
@@ -380,21 +375,6 @@ class CountedRelation(Relation):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CountedRelation(schema={self.schema}, rows={len(self.rows)})"
-
-
-def build_row_index(
-    rows: Iterable[Row], key_positions: Sequence[int]
-) -> Dict[Tuple[str, ...], List[Row]]:
-    """Hash-join build phase: bucket ``rows`` by their key columns."""
-    index: Dict[Tuple[str, ...], List[Row]] = {}
-    for row in rows:
-        key = tuple(row[i] for i in key_positions)
-        index.setdefault(key, []).append(row)
-    return index
-
-
-# Backwards-compatible private alias (pre-batching internal name).
-_build_index = build_row_index
 
 
 def extend_path_rows(

@@ -16,13 +16,12 @@ treat it exactly like a single engine:
   inside each shard) and narrows the fan-out below,
 * stream updates fan out only to the shards whose queries use the edge's
   label (an engine without the label ignores the update anyway — the
-  group skips even handing it over), executed by a pluggable *executor*:
-  ``serial`` (in-process loop, the default), ``thread`` (one
-  :class:`~concurrent.futures.ThreadPoolExecutor` task per relevant
-  shard), or ``process`` (each shard lives in its own single-worker
+  group skips even handing it over), executed by an *executor*:
+  ``serial`` (in-process loop, the default) or ``process`` (each shard
+  lives in its own single-worker
   :class:`~concurrent.futures.ProcessPoolExecutor` and receives picklable
-  command/reply frames — true parallelism, since the shard engines share
-  nothing),
+  command/reply frames — isolation, supervision and replicas, since the
+  shard engines share nothing),
 * notifications and affected sets merge back deterministically as one
   :class:`~repro.core.engine.BatchReport` (shard order, set semantics),
   answers (``matches_of`` routes to the owning shard) and maintained
@@ -42,7 +41,7 @@ the backfill on a fresh shard, where a single engine's new (empty) view
 would have dropped them — the group errs toward the oracle's semantics
 there.
 
-A group with ``executor="process"`` (or ``"thread"``) holds OS resources;
+A group with ``executor="process"`` holds OS resources;
 call :meth:`close` (or use the group as a context manager) when done.
 """
 
@@ -54,7 +53,7 @@ import threading
 import time
 import zlib
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.engine import BatchReport, ContinuousEngine, MaintainedAnswerSource
@@ -67,7 +66,6 @@ from ..persistence.replication import (
     silent_backfill,
     spawn_worker_pool,
     worker_call,
-    worker_init,
 )
 from ..query.pattern import QueryGraphPattern
 from ..query.terms import EdgeKey, candidate_keys_for_edge
@@ -78,20 +76,7 @@ __all__ = ["ShardedEngineGroup", "SHARD_EXECUTORS", "silent_backfill"]
 EngineFactory = Callable[[], ContinuousEngine]
 
 #: Supported fan-out executors.
-SHARD_EXECUTORS = ("serial", "thread", "process")
-
-
-# ----------------------------------------------------------------------
-# Process-executor worker runtime (shared with the replication layer)
-# ----------------------------------------------------------------------
-# The worker-side runtime — pool initializer, command dispatcher, failure
-# signature — lives in :mod:`repro.persistence.replication` so primaries
-# and replicas run the exact same code; the historical names are kept
-# here because this module is the substrate's primary consumer.
-_process_shard_init = worker_init
-_process_shard_call = worker_call
-_shard_op = shard_op
-_WORKER_FAILURES = WORKER_FAILURES
+SHARD_EXECUTORS = ("serial", "process")
 
 
 class _ProcessShardProxy:
@@ -206,14 +191,14 @@ class _ProcessShardProxy:
         """Run one command, recovering from worker death until it lands."""
         while True:
             if self._local is not None:
-                return _shard_op(self._local, op, args)
+                return shard_op(self._local, op, args)
             if self._closed:
                 raise ShardUnavailableError(
                     f"process shard {self.name!r} is closed"
                 )
             try:
-                return self._pool.submit(_process_shard_call, op, args).result()
-            except _WORKER_FAILURES:
+                return self._pool.submit(worker_call, op, args).result()
+            except WORKER_FAILURES:
                 self._recover()
 
     def _call(self, op: str, *args):
@@ -251,15 +236,15 @@ class _ProcessShardProxy:
         if self._local is not None:
             future: Future = Future()
             try:
-                future.set_result(_shard_op(self._local, "batch", (updates,)))
+                future.set_result(shard_op(self._local, "batch", (updates,)))
             except Exception as error:
                 future.set_exception(error)
             return future
         if self._closed:
             raise ShardUnavailableError(f"process shard {self.name!r} is closed")
         try:
-            return self._pool.submit(_process_shard_call, "batch", (updates,))
-        except _WORKER_FAILURES:
+            return self._pool.submit(worker_call, "batch", (updates,))
+        except WORKER_FAILURES:
             # The pool broke between batches (e.g. an idle-time SIGKILL
             # detected at submission): recover, then hand out a future
             # against the healed worker.
@@ -278,7 +263,7 @@ class _ProcessShardProxy:
         """
         try:
             result = future.result()
-        except _WORKER_FAILURES:
+        except WORKER_FAILURES:
             self._recover()
             result = self._execute("batch", (list(updates),))
         if self._local is None:
@@ -315,7 +300,7 @@ class _ProcessShardProxy:
                 self._pool = self._spawn_pool()
                 self._restore_worker()
                 return
-            except _WORKER_FAILURES:
+            except WORKER_FAILURES:
                 self._pool.shutdown(wait=False)
         self._degrade()
 
@@ -338,7 +323,7 @@ class _ProcessShardProxy:
             try:
                 for _seq, op, args in behind:
                     promoted.pool.submit(worker_call, op, args).result()
-            except _WORKER_FAILURES:
+            except WORKER_FAILURES:
                 promoted.pool.shutdown(wait=False)
                 continue
             self._pool = promoted.pool
@@ -352,7 +337,7 @@ class _ProcessShardProxy:
         """Re-anchor the recovery source on the current primary's state."""
         try:
             blob = self._pool.submit(worker_call, "snapshot", ()).result()
-        except _WORKER_FAILURES:
+        except WORKER_FAILURES:
             # Primary died during the pull: the old source still covers
             # every acknowledged op; the next command recovers again.
             return
@@ -364,10 +349,10 @@ class _ProcessShardProxy:
         """Rebuild a fresh worker's engine from snapshot + command log."""
         if self._snapshot_blob is not None:
             self._pool.submit(
-                _process_shard_call, "restore", (self._snapshot_blob,)
+                worker_call, "restore", (self._snapshot_blob,)
             ).result()
         for _seq, op, args in self._ops_log:
-            self._pool.submit(_process_shard_call, op, args).result()
+            self._pool.submit(worker_call, op, args).result()
         self.replayed_ops += len(self._ops_log)
 
     def _degrade(self) -> None:
@@ -381,7 +366,7 @@ class _ProcessShardProxy:
                 self.name, injective=self._injective, **self._engine_kwargs
             )
         for _seq, op, args in self._ops_log:
-            _shard_op(engine, op, args)
+            shard_op(engine, op, args)
         self.replayed_ops += len(self._ops_log)
         self._ops_log.clear()
         self._local = engine
@@ -396,8 +381,8 @@ class _ProcessShardProxy:
         if self.snapshot_every is None or len(self._ops_log) < self.snapshot_every:
             return
         try:
-            blob = self._pool.submit(_process_shard_call, "snapshot", ()).result()
-        except _WORKER_FAILURES:
+            blob = self._pool.submit(worker_call, "snapshot", ()).result()
+        except WORKER_FAILURES:
             # Worker died during the snapshot pull: keep the old recovery
             # source intact; the next command notices and recovers.
             return
@@ -425,7 +410,7 @@ class _ProcessShardProxy:
         pool = self._spawn_pool()
         try:
             pool.submit(worker_call, "restore", (blob,)).result()
-        except _WORKER_FAILURES as error:
+        except WORKER_FAILURES as error:
             pool.shutdown(wait=False)
             raise PersistenceError(
                 f"rolling restart of shard {self.name!r} could not seed the "
@@ -649,12 +634,11 @@ class ShardedEngineGroup(ContinuousEngine):
         (label-affinity routing, clusters queries sharing edge labels).
     executor:
         How a batch fans out to the relevant shards: ``"serial"`` (one
-        shard after another in-process — zero overhead, the default),
-        ``"thread"`` (shards run on a thread pool; the engines share
-        nothing, so the GIL is the only serialisation left), or
+        shard after another in-process — zero overhead, the default) or
         ``"process"`` (each shard is a separate worker process driven over
-        picklable command frames — true parallelism at the cost of IPC per
-        batch).  Answers are byte-identical across executors.
+        picklable command frames — fault isolation, supervision and
+        replicas at the cost of IPC per batch).  Answers are
+        byte-identical across executors.
     engine_kwargs:
         Extra keyword arguments forwarded to the named engine's factory
         (ignored when ``engine`` is already a callable).
@@ -757,7 +741,6 @@ class ShardedEngineGroup(ContinuousEngine):
         else:
             self.shards = [factory() for _ in range(num_shards)]
         self.name = f"{self.shards[0].name}x{num_shards}"
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         #: query id -> owning shard index.
         self._owner: Dict[str, int] = {}
@@ -804,7 +787,7 @@ class ShardedEngineGroup(ContinuousEngine):
     # Executor lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release executor resources (worker processes, thread pool).
+        """Release executor resources (worker processes).
 
         Idempotent.  Serial groups hold nothing and close trivially; the
         group stays usable for answer reads (``matches_of`` on in-process
@@ -813,9 +796,6 @@ class ShardedEngineGroup(ContinuousEngine):
         if self._closed:
             return
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown()
-            self._thread_pool = None
         for shard in self.shards:
             if isinstance(shard, _ProcessShardProxy):
                 shard.close()
@@ -833,7 +813,7 @@ class ShardedEngineGroup(ContinuousEngine):
             pass
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the thread pool (snapshots of sharded groups).
+        """Pickle without the restart lock (snapshots of sharded groups).
 
         In-process shards pickle as themselves; process shards pickle as
         their worker-state blobs (see ``_ProcessShardProxy.__getstate__``),
@@ -842,7 +822,6 @@ class ShardedEngineGroup(ContinuousEngine):
         is a fresh lease on life.
         """
         state = self.__dict__.copy()
-        state["_thread_pool"] = None
         state["_restart_lock"] = None
         state["_closed"] = False
         return state
@@ -902,17 +881,6 @@ class ShardedEngineGroup(ContinuousEngine):
             for shard in self.shards
             if isinstance(shard, _ProcessShardProxy)
         ]
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            # Recreating the pool here would leak it: close() has already
-            # run and will never shut the new one down.
-            raise EngineError("sharded engine group is closed")
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=len(self.shards), thread_name_prefix="repro-shard"
-            )
-        return self._thread_pool
 
     # ------------------------------------------------------------------
     # Query assignment
@@ -1024,7 +992,7 @@ class ShardedEngineGroup(ContinuousEngine):
         The base class splits a batch into per-kind runs and would fan each
         run out separately — on an interleaved add/delete stream that turns
         one micro-batch into hundreds of per-shard calls, which is pure
-        overhead for the thread executor and pure IPC for the process
+        dispatch overhead in-process and pure IPC for the process
         executor.  The group instead hands every shard its full
         label-relevant *subsequence* of the batch (order and interleaving
         preserved) in a single call; the shard's own ``on_batch`` does the
@@ -1038,7 +1006,7 @@ class ShardedEngineGroup(ContinuousEngine):
 
     def _fan_out_updates(self, updates: Sequence[Update]) -> BatchReport:
         """Hand each shard its label-relevant subsequence, concurrently
-        where the executor allows, and merge the per-shard reports.
+        under the process executor, and merge the per-shard reports.
 
         The merge is deterministic for every executor: per-shard results
         are collected in shard order and combine through set unions, so the
@@ -1108,25 +1076,10 @@ class ShardedEngineGroup(ContinuousEngine):
                 self.shards[index].finish_batch(future, updates)
                 for (index, updates), future in zip(jobs, futures)
             ]
-        if self.executor == "thread" and len(jobs) > 1:
-            pool = self._pool()
-            futures = [
-                pool.submit(self._timed_batch, index, updates)
-                for index, updates in jobs
-            ]
-            return [future.result() for future in futures]
-        return [self._timed_batch(index, updates) for index, updates in jobs]
-
-    def _timed_batch(
-        self, index: int, updates: Sequence[Update]
-    ) -> Tuple[BatchReport, FrozenSet[str], float]:
-        shard = self.shards[index]
-        start = time.perf_counter()
-        if len(updates) == 1:
-            report = shard.on_update(updates[0])
-        else:
-            report = shard.on_batch(updates)
-        return report, shard.satisfied_queries(), time.perf_counter() - start
+        return [
+            shard_op(self.shards[index], "batch", (updates,))
+            for index, updates in jobs
+        ]
 
     def _on_addition(self, edge: Edge) -> FrozenSet[str]:
         return self._fan_out_updates([Update(edge, UpdateKind.ADD)])

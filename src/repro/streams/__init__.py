@@ -1,8 +1,8 @@
 """Stream replay harness, metrics, and reporting."""
 
 from .metrics import Timer, TimingStats, deep_sizeof
-from .report import NotificationLog, format_replay_results, format_table
-from .runner import MatchListener, ReplayResult, StreamRunner
+from .report import format_replay_results, format_table
+from .runner import ReplayResult, StreamRunner
 
 __all__ = [
     "Timer",
@@ -10,8 +10,6 @@ __all__ = [
     "deep_sizeof",
     "StreamRunner",
     "ReplayResult",
-    "MatchListener",
-    "NotificationLog",
     "format_table",
     "format_replay_results",
 ]

@@ -1,18 +1,12 @@
-"""Plain-text reporting helpers shared by the benchmark harness and examples.
-
-``NotificationLog`` moved to the pub/sub subsystem
-(:class:`repro.pubsub.broker.NotificationLog`), where it doubles as a
-subscribe-to-all broker adapter; it is re-exported here for compatibility.
-"""
+"""Plain-text reporting helpers shared by the benchmark harness and examples."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from ..pubsub.broker import NotificationLog
 from .runner import ReplayResult
 
-__all__ = ["format_table", "format_replay_results", "NotificationLog"]
+__all__ = ["format_table", "format_replay_results"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

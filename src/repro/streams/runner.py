@@ -13,17 +13,14 @@ The runner reproduces the paper's measurement protocol:
 * *subscriptions* — pub/sub delivery of per-listener match deltas through a
   :class:`~repro.pubsub.broker.SubscriptionBroker` (``broker=`` /
   ``subscriptions=``), which is how applications consume the engines and
-  which subsumes the older poll-every-satisfied-query loop (``poll_every``)
-  and the bare :data:`MatchListener` callbacks (deprecated, kept as a
-  compatibility shim).
+  which subsumes the older poll-every-satisfied-query loop (``poll_every``).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..core.engine import ContinuousEngine
 from ..graph.elements import Update
@@ -31,12 +28,7 @@ from ..graph.stream import GraphStream
 from ..query.pattern import QueryGraphPattern
 from .metrics import TimingStats, deep_sizeof
 
-__all__ = ["MatchListener", "ReplayResult", "StreamRunner"]
-
-#: Callback invoked with (update, matched query ids) for non-empty answers.
-#: Deprecated in favour of broker subscriptions (which deliver the *changed
-#: answers*, not just the notified ids); kept as a compatibility shim.
-MatchListener = Callable[[Update, FrozenSet[str]], None]
+__all__ = ["ReplayResult", "StreamRunner"]
 
 
 @dataclass
@@ -162,9 +154,7 @@ class StreamRunner:
         default) drives the engine through :meth:`~repro.core.engine.ContinuousEngine.on_update`;
         larger values drive it through micro-batches
         (:meth:`~repro.core.engine.ContinuousEngine.on_batch`), which is
-        answer-equivalent but amortizes per-update overhead.  In batched
-        mode listeners are invoked once per non-empty batch with the batch's
-        final update and the union of the notified query ids.
+        answer-equivalent but amortizes per-update overhead.
     poll_every:
         When positive, every ``poll_every`` processed updates the runner
         polls :meth:`~repro.core.engine.ContinuousEngine.matches_of` for
@@ -175,16 +165,12 @@ class StreamRunner:
         Broker subscriptions subsume this loop for applications that only
         watch specific queries; the polling mode is kept for the benchmark
         comparisons.
-    listeners:
-        Deprecated notification callbacks (see :data:`MatchListener`);
-        subscribe to a broker instead.
     """
 
     def __init__(
         self,
         engine: Optional[ContinuousEngine] = None,
         *,
-        listeners: Sequence[MatchListener] = (),
         time_budget_s: Optional[float] = None,
         batch_size: int = 1,
         poll_every: int = 0,
@@ -204,14 +190,6 @@ class StreamRunner:
             raise ValueError("StreamRunner needs an engine or a broker")
         self.engine = engine
         self.broker = broker
-        self.listeners: List[MatchListener] = list(listeners)
-        if self.listeners:
-            warnings.warn(
-                "StreamRunner listeners are deprecated; subscribe to a "
-                "SubscriptionBroker for per-query match deltas instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.time_budget_s = time_budget_s
         self.batch_size = batch_size
         self.poll_every = poll_every
@@ -220,7 +198,7 @@ class StreamRunner:
             self._subscribe_spec(spec)
 
     # ------------------------------------------------------------------
-    # Subscriptions and listeners
+    # Subscriptions
     # ------------------------------------------------------------------
     def _require_broker(self):
         if self.broker is None:
@@ -248,21 +226,6 @@ class StreamRunner:
         return self._require_broker().subscribe(
             kwargs.pop("name", None), query_ids, **kwargs
         )
-
-    def add_listener(self, listener: MatchListener) -> None:
-        """Register a notification callback.
-
-        .. deprecated:: broker subscriptions deliver per-query match deltas
-           (the changed answers) instead of bare notified-id sets; this shim
-           remains for existing callers.
-        """
-        warnings.warn(
-            "StreamRunner.add_listener is deprecated; subscribe to a "
-            "SubscriptionBroker for per-query match deltas instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Query indexing
@@ -336,8 +299,6 @@ class StreamRunner:
             if matched:
                 result.matched_updates += 1
                 result.matches_emitted += len(matched)
-                for listener in self.listeners:
-                    listener(chunk[-1], matched)
             if self.poll_every:
                 updates_since_poll += len(chunk)
                 if updates_since_poll >= self.poll_every:

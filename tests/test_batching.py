@@ -164,21 +164,6 @@ class TestBatchedStreamRunner:
         assert result.matches_emitted == 1
         assert result.as_dict()["batch_size"] == 3
 
-    def test_batched_replay_notifies_listeners_once_per_batch(self, checkin_query, checkin_stream):
-        received = []
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner = StreamRunner(
-                TRICEngine(),
-                batch_size=len(checkin_stream),
-                listeners=[lambda update, matched: received.append((update, matched))],
-            )
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
-        assert len(received) == 1
-        update, matched = received[0]
-        assert matched == frozenset({"checkin"})
-        assert update == list(checkin_stream)[-1]
-
     def test_batched_and_per_update_replays_agree_on_matches(self):
         rng, queries = _random_workload(seed=41, num_queries=6)
         updates = _random_stream(rng, num_updates=90, deletion_rate=0.2)

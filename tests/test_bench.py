@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -162,3 +166,33 @@ class TestCLI:
         args = parser.parse_args(["-e", "fig12a", "--scale", "0.5", "--output", str(tmp_path)])
         assert args.experiments == ["fig12a"]
         assert args.scale == 0.5
+
+
+class TestCommittedBenchData:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _written_sections(self):
+        """Top-level sections some ``_write_json({...})`` call under
+        ``benchmarks/`` writes."""
+        sections = set()
+        for path in (self.ROOT / "benchmarks").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_write_json"
+                    and node.args
+                    and isinstance(node.args[0], ast.Dict)
+                ):
+                    sections.update(
+                        key.value
+                        for key in node.args[0].keys
+                        if isinstance(key, ast.Constant)
+                    )
+        return sections
+
+    def test_every_bench_hotpath_section_has_a_writer(self):
+        committed = json.loads(
+            (self.ROOT / "BENCH_hotpath.json").read_text(encoding="utf-8")
+        )
+        orphans = sorted(set(committed) - self._written_sections())
+        assert not orphans, f"sections no benchmark regenerates: {orphans}"

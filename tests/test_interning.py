@@ -24,7 +24,7 @@ from repro import (
     add,
     delete,
 )
-from repro.graph.interning import NullInterner, VertexInterner
+from repro.graph.interning import VertexInterner
 from repro.matching.relation import Relation
 from repro.query import QueryGraphPattern
 
@@ -75,13 +75,6 @@ class TestVertexInterner:
         assert interner.decode_row(row) == tuple(labels)
         # Dense: ids cover exactly 0..n-1 for n distinct labels.
         assert set(row) == set(range(len(set(labels))))
-
-    def test_null_interner_is_identity(self):
-        interner = NullInterner()
-        assert interner.intern("alice") == "alice"
-        assert interner.intern_pair("a", "b") == ("a", "b")
-        assert interner.decode_row(("a", "b")) == ("a", "b")
-        assert interner.label_of("x") == "x"
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +259,6 @@ class TestInterningRoundTripsThroughEngines:
         stats = interner.stats()
         assert stats["live_ids"] == 10
         assert stats["bytes_estimate"] > empty["bytes_estimate"]
-        null_stats = NullInterner(["a", "b"]).stats()
-        assert null_stats["live_ids"] == 2 and null_stats["bytes_estimate"] > 0
         engine = TRICEngine()
         engine.register(QueryGraphPattern("q", [("knows", "?a", "?b")]))
         engine.on_update(add("knows", "alice", "bob"))

@@ -844,7 +844,7 @@ class TestSupervisedProcessShards:
 # close() idempotency across executors (regression)
 # ----------------------------------------------------------------------
 class TestCloseIdempotency:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_double_close_and_context_manager(self, executor, hard_timeout):
         group = ShardedEngineGroup("TRIC+", 2, executor=executor)
         group.register_all(patterns())
@@ -853,16 +853,6 @@ class TestCloseIdempotency:
             pass  # __exit__ closes once
         group.close()  # explicit second close must not raise
         group.close()
-
-    def test_thread_pool_unusable_after_close(self):
-        from repro.graph.errors import EngineError
-
-        group = ShardedEngineGroup("TRIC+", 2, executor="thread")
-        group.register_all(patterns())
-        group.on_batch(interleaved_stream(10))
-        group.close()
-        with pytest.raises(EngineError):
-            group._pool()
 
 
 # ----------------------------------------------------------------------

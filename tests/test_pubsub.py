@@ -24,8 +24,6 @@ from repro import (
 )
 from repro.graph.errors import EngineError, SubscriptionError, UnknownQueryError
 from repro.pubsub import (
-    MatchDelta,
-    NotificationLog,
     OverflowPolicy,
     ShardedEngineGroup,
     SubscriptionBroker,
@@ -164,17 +162,6 @@ class TestSubscriptionBroker:
         broker.on_update(add("knows", "ann", "bob"))
         assert subscription.pending == 0
         assert len(received) == 1 and received[0].query_id == "pair"
-
-    def test_notification_log_is_a_subscribe_to_all_adapter(self):
-        engine = TRICPlusEngine()
-        engine.register_all([chain_query(), pair_query()])
-        broker = SubscriptionBroker(engine)
-        log = NotificationLog()
-        log.attach(broker)
-        broker.on_update(add("knows", "ann", "bob"))
-        assert len(log) == 1
-        assert log.queries_notified() == ["pair"]
-        assert isinstance(log.deltas[0], MatchDelta)
 
     def test_materialising_engine_serves_deltas_without_repolling(self):
         """On the fast path the broker reads the maintained answer relation's

@@ -37,10 +37,10 @@ class TestRelationBasics:
         added = relation.add_all([("x",), ("y",), ("z",), ("y",)])
         assert added == [("y",), ("z",)]
 
-    def test_discard(self):
+    def test_remove(self):
         relation = Relation(("a",), [("x",)])
-        assert relation.discard(("x",))
-        assert not relation.discard(("x",))
+        assert relation.remove(("x",))
+        assert not relation.remove(("x",))
 
     def test_versions_track_mutations(self):
         relation = Relation(("a",))
@@ -48,7 +48,7 @@ class TestRelationBasics:
         relation.add(("x",))
         assert relation.version > v0
         v1 = relation.version
-        relation.discard(("x",))
+        relation.remove(("x",))
         assert relation.version > v1
 
     def test_append_log(self):

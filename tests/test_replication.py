@@ -275,7 +275,7 @@ class TestPrimaryFailover:
 # Rolling restarts
 # ----------------------------------------------------------------------
 class TestRollingRestart:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_zero_loss_across_executors(self, executor, hard_timeout):
         subscribed = [pattern.query_id for pattern in patterns()]
         oracle = ShardedEngineGroup("TRIC+", 2, executor="serial")

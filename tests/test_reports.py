@@ -5,7 +5,7 @@ query whose ``matches_of`` changed across a batch is contained in that
 batch's ``BatchReport.affected`` (completeness) — for every engine and
 every shard count.  On top of it: the broker may skip unaffected queries
 without ever losing a delta, answers are byte-identical across the
-serial/thread/process shard executors, and ``OverflowPolicy.BLOCK``
+serial/process shard executors, and ``OverflowPolicy.BLOCK``
 backpressure is observable from ``StreamRunner`` results without dropping
 anything.
 """
@@ -13,6 +13,7 @@ anything.
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,11 @@ from repro import (
     create_engine,
     delete,
 )
+from repro.bench import runner as bench_cli
 from repro.graph.errors import EngineError
 from repro.pubsub import ShardedEngineGroup, SubscriptionBroker, canonical_key, replay_deltas
 from repro.query import QueryGraphPattern
+from repro.pubsub import serve as serve_cli
 from repro.streams import StreamRunner
 
 LABELS = ("a", "b")
@@ -331,7 +334,7 @@ def _churn_stream():
 
 
 class TestShardExecutors:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_parallel_executors_match_serial_byte_for_byte(self, executor):
         patterns = [pair_query(), chain_query()]
         updates = _churn_stream()
@@ -387,23 +390,23 @@ class TestShardExecutors:
             assert group.matches_of("q4") == reference.matches_of("q4") != []
 
     def test_invalid_executor_and_factory_combinations_rejected(self):
-        with pytest.raises(EngineError):
-            ShardedEngineGroup("TRIC+", 2, executor="greenlet")
+        for executor in ("greenlet", "thread"):
+            with pytest.raises(EngineError, match="options: serial, process$"):
+                ShardedEngineGroup("TRIC+", 2, executor=executor)
         with pytest.raises(EngineError):
             ShardedEngineGroup(TRICPlusEngine, 2, executor="process")
-        # Callable factories stay fine on the in-process executors.
-        group = ShardedEngineGroup(TRICPlusEngine, 2, executor="thread")
-        group.close()
-        # A closed thread-executor group refuses new multi-shard fan-outs
-        # instead of silently leaking a recreated pool.  (Both shards must
-        # own the label, else the single job runs inline without a pool.)
-        group.register_all(
-            QueryGraphPattern(f"Q{i}", [("knows", f"?x{i}", f"?y{i}")])
-            for i in range(6)
-        )
-        assert all(shard.num_queries for shard in group.shards)
-        with pytest.raises(EngineError):
-            group.on_batch([add("knows", "a", "b"), add("knows", "b", "c")])
+        # Callable factories stay fine on the in-process executor.
+        ShardedEngineGroup(TRICPlusEngine, 2).close()
+
+    @pytest.mark.parametrize("cli", [serve_cli, bench_cli], ids=["serve", "bench"])
+    def test_clis_reject_the_thread_executor(self, cli, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--shards", "2", "--executor", "thread"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        # Some Python versions list the choices unquoted.
+        assert re.search(r"'?serial'?, '?process'?\)$", err.rstrip())
 
     def test_process_executor_honours_injective_engine_kwargs(self):
         """An explicit injective flag in engine_kwargs must reach process
@@ -429,7 +432,7 @@ class TestShardExecutors:
         assert answers["serial"] != []
 
     def test_close_is_idempotent_and_context_managed(self):
-        group = ShardedEngineGroup("TRIC+", 2, executor="thread")
+        group = ShardedEngineGroup("TRIC+", 2)
         group.register(pair_query())
         group.on_batch([add("knows", "a", "b"), add("knows", "b", "c")])
         group.close()

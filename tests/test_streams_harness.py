@@ -9,7 +9,6 @@ import pytest
 from repro import TRICEngine, TRICPlusEngine, add
 from repro.graph import GraphStream
 from repro.streams import (
-    NotificationLog,
     ReplayResult,
     StreamRunner,
     Timer,
@@ -93,25 +92,6 @@ class TestStreamRunner:
         assert result.answering.count == len(checkin_stream)
         assert result.memory_bytes is not None and result.memory_bytes > 0
         assert result.as_dict()["engine"] == "TRIC+"
-
-    def test_listeners_receive_notifications(self, checkin_query, checkin_stream):
-        log = NotificationLog()
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner = StreamRunner(TRICEngine(), listeners=[log])
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
-        assert len(log) == 1
-        assert log.queries_notified() == ["checkin"]
-        assert log.notifications[0]["queries"] == ["checkin"]
-
-    def test_add_listener_is_a_deprecated_shim(self, checkin_query, checkin_stream):
-        runner = StreamRunner(TRICEngine())
-        log = NotificationLog()
-        with pytest.warns(DeprecationWarning, match="SubscriptionBroker"):
-            runner.add_listener(log)
-        runner.index_queries([checkin_query])
-        runner.replay(checkin_stream)
-        assert len(log) == 1
 
     def test_broker_mode_delivers_match_deltas(self, checkin_query, checkin_stream):
         runner = StreamRunner(TRICPlusEngine())
