@@ -164,6 +164,23 @@ class TestBatchedStreamRunner:
         assert result.matches_emitted == 1
         assert result.as_dict()["batch_size"] == 3
 
+    def test_batched_broker_replay_delivers_one_delta_per_batch(self, checkin_query):
+        stream = [
+            add("knows", "P1", "P2"),
+            add("checksIn", "P1", "rio"),
+            add("checksIn", "P2", "rio"),
+            add("knows", "P2", "P1"),
+        ]
+        runner = StreamRunner(TRICPlusEngine(), batch_size=len(stream))
+        runner.index_queries([checkin_query])
+        subscription = runner.subscribe(["checkin"])
+        result = runner.replay(stream)
+        assert result.answering.count == 1
+        assert result.deltas_delivered == 1
+        [delta] = subscription.drain()
+        assert delta.query_id == "checkin"
+        assert sorted(binding["p1"] for binding in delta.added) == ["P1", "P2"]
+
     def test_batched_and_per_update_replays_agree_on_matches(self):
         rng, queries = _random_workload(seed=41, num_queries=6)
         updates = _random_stream(rng, num_updates=90, deletion_rate=0.2)

@@ -67,6 +67,13 @@ class TestVertexInterner:
         interner.intern("ghost")
         assert interner.lookup("ghost") == 0
 
+    def test_constructor_interns_labels_in_order(self):
+        interner = VertexInterner(["b", "a", "b"])
+        assert len(interner) == 2
+        assert (interner.lookup("b"), interner.lookup("a")) == (0, 1)
+        assert interner.stats()["live_ids"] == 2
+        assert interner.intern("c") == 2
+
     @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_decode_inverts_intern_for_any_labels(self, labels):

@@ -854,6 +854,24 @@ class TestCloseIdempotency:
         group.close()  # explicit second close must not raise
         group.close()
 
+    def test_closed_process_group_refuses_batches(self, hard_timeout):
+        group = ShardedEngineGroup("TRIC+", 2, executor="process")
+        group.register_all(patterns())
+        group.on_batch(interleaved_stream(10))
+        group.close()
+        with pytest.raises(ShardUnavailableError, match="is closed"):
+            group.on_batch(interleaved_stream(10, seed=1))
+
+    def test_closed_serial_group_still_serves_reads(self):
+        updates = interleaved_stream(20)
+        oracle = ShardedEngineGroup("TRIC+", 2)
+        oracle.register_all(patterns())
+        oracle.on_batch(updates)
+        with ShardedEngineGroup("TRIC+", 2) as group:
+            group.register_all(patterns())
+            group.on_batch(updates)
+        assert_same_answers(group, oracle)
+
 
 # ----------------------------------------------------------------------
 # Fault injector mechanics

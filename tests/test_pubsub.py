@@ -24,6 +24,7 @@ from repro import (
 )
 from repro.graph.errors import EngineError, SubscriptionError, UnknownQueryError
 from repro.pubsub import (
+    MatchDelta,
     OverflowPolicy,
     ShardedEngineGroup,
     SubscriptionBroker,
@@ -162,6 +163,19 @@ class TestSubscriptionBroker:
         broker.on_update(add("knows", "ann", "bob"))
         assert subscription.pending == 0
         assert len(received) == 1 and received[0].query_id == "pair"
+
+    def test_subscribe_to_all_pull_mode_queues_every_query(self):
+        engine = TRICPlusEngine()
+        engine.register_all([chain_query(), pair_query()])
+        broker = SubscriptionBroker(engine)
+        subscription = broker.subscribe("all")
+        broker.on_update(add("knows", "ann", "bob"))
+        broker.on_update(add("likes", "bob", "carl"))
+        assert subscription.pending == 2
+        deltas = subscription.drain()
+        assert [delta.query_id for delta in deltas] == ["pair", "chain"]
+        assert all(isinstance(delta, MatchDelta) for delta in deltas)
+        assert deltas[1].added == ({"a": "ann", "b": "bob", "c": "carl"},)
 
     def test_materialising_engine_serves_deltas_without_repolling(self):
         """On the fast path the broker reads the maintained answer relation's

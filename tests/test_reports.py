@@ -398,6 +398,39 @@ class TestShardExecutors:
         # Callable factories stay fine on the in-process executor.
         ShardedEngineGroup(TRICPlusEngine, 2).close()
 
+    def test_serial_fan_out_makes_one_shard_op_per_overlapping_shard(self, monkeypatch):
+        from repro.pubsub import sharding
+
+        patterns = [
+            pair_query(),
+            chain_query(),
+            QueryBuilder("likes").edge("likes", "?a", "?b").build(),
+        ]
+        group = ShardedEngineGroup("TRIC+", 3)
+        group.register_all(patterns)
+        shard_labels = [set() for _ in range(group.num_shards)]
+        for pattern in patterns:
+            shard_labels[group.shard_of(pattern.query_id)].update(pattern.edge_labels())
+        calls = []
+        real_shard_op = sharding.shard_op
+
+        def counting_shard_op(shard, op, args):
+            calls.append(op)
+            return real_shard_op(shard, op, args)
+
+        monkeypatch.setattr(sharding, "shard_op", counting_shard_op)
+        updates = _churn_stream()
+        # Single-label batches first, so the per-batch shard count varies.
+        chunks = [updates[:6]] + [updates[i : i + 4] for i in range(6, len(updates), 4)]
+        chunks = [[update] for update in chunks[0]] + chunks[1:]
+        expected = 0
+        for chunk in chunks:
+            group.on_batch(chunk)
+            labels = {update.edge.label for update in chunk}
+            expected += sum(1 for owned in shard_labels if owned & labels)
+        assert calls == ["batch"] * expected
+        assert sum(group.describe()["shard_batches"]) == expected
+
     @pytest.mark.parametrize("cli", [serve_cli, bench_cli], ids=["serve", "bench"])
     def test_clis_reject_the_thread_executor(self, cli, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -108,6 +108,28 @@ class TestStreamRunner:
         assert as_dict["deltas_delivered"] == 1
         assert as_dict["delta_answers"] == 1
 
+    def test_subscribe_without_query_ids_watches_every_query(
+        self, checkin_query, checkin_stream
+    ):
+        from repro.query import QueryGraphPattern
+
+        runner = StreamRunner(TRICPlusEngine())
+        pair = QueryGraphPattern("pair", [("knows", "?x", "?y")])
+        runner.index_queries([checkin_query, pair])
+        subscription = runner.subscribe()
+        assert subscription.query_ids == frozenset({"checkin", "pair"})
+        result = runner.replay(checkin_stream)
+        assert result.deltas_delivered == 2
+        assert [delta.query_id for delta in subscription.drain()] == ["pair", "checkin"]
+
+    def test_listener_options_are_gone(self):
+        import repro.streams
+
+        with pytest.raises(TypeError):
+            StreamRunner(TRICEngine(), listeners=[])
+        assert not hasattr(StreamRunner, "add_listener")
+        assert not hasattr(repro.streams, "NotificationLog")
+
     def test_constructor_broker_and_subscription_specs(self, checkin_query, checkin_stream):
         from repro.pubsub import SubscriptionBroker
 
